@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec, Layer
 from repro.constants import ContentType, Protocol
 from repro.entities.cdn import CdnAssignment
@@ -78,12 +79,19 @@ def inject_telemetry(
     one left it, with its window re-mapped onto the current length.
     """
     out = TelemetryInjection(events=list(events))
-    for spec in plan.specs_for(Layer.TELEMETRY):
-        rng = random.Random(plan.spec_seed(spec))
-        if spec.kind is FaultKind.REORDER_START:
-            _delay_starts(out, spec, rng)
-        else:
-            _pointwise(out, spec, rng)
+    consumed = len(out.events)
+    with obs.span("chaos.inject_telemetry", seed=plan.seed) as span:
+        for spec in plan.specs_for(Layer.TELEMETRY):
+            rng = random.Random(plan.spec_seed(spec))
+            if spec.kind is FaultKind.REORDER_START:
+                _delay_starts(out, spec, rng)
+            else:
+                _pointwise(out, spec, rng)
+        span.set(
+            events=consumed,
+            faults=out.total_injected,
+            corrupted_sessions=len(out.corrupted_sessions),
+        )
     return out
 
 
@@ -178,8 +186,11 @@ def _delay_starts(
                 beats += 1
             if beats > 0:
                 k = 1 + rng.randrange(min(REORDER_START_SPAN, beats))
-                events.pop(index)
-                events.insert(index + k, event)
+                # Rotate the start behind its next k events in place:
+                # O(k), where pop + insert would shift the whole tail.
+                events[index:index + k + 1] = (
+                    events[index + 1:index + k + 1] + [event]
+                )
                 _count(out, spec, index, sid)
                 index += k  # the start's new position; resume after it
         index += 1

@@ -12,13 +12,17 @@ circuit-breaker primitives in :mod:`repro.resilience`.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple, TypeVar
 
+from repro import obs
 from repro.errors import DatasetError, TransportError
 from repro.telemetry.events import Heartbeat, SessionEnd, SessionStart
 
 T = TypeVar("T")
+
+_HEARTBEAT_FIELDS = tuple(f.name for f in fields(Heartbeat))
 
 
 def _raw_heartbeat(**values: object) -> Heartbeat:
@@ -30,14 +34,14 @@ def _raw_heartbeat(**values: object) -> Heartbeat:
     would.
     """
     beat = object.__new__(Heartbeat)
-    for f in fields(Heartbeat):
-        object.__setattr__(beat, f.name, values[f.name])
+    for name in _HEARTBEAT_FIELDS:
+        object.__setattr__(beat, name, values[name])
     return beat
 
 
 def corrupt_heartbeat(beat: Heartbeat, **overrides: object) -> Heartbeat:
     """A copy of ``beat`` with fields overridden, validation skipped."""
-    values = {f.name: getattr(beat, f.name) for f in fields(Heartbeat)}
+    values = {name: getattr(beat, name) for name in _HEARTBEAT_FIELDS}
     values.update(overrides)
     return _raw_heartbeat(**values)
 
@@ -59,7 +63,8 @@ class FaultMix:
 
     def __post_init__(self) -> None:
         rates = [getattr(self, f.name) for f in fields(self)]
-        if any(r < 0 for r in rates):
+        # ``not r >= 0`` also rejects NaN, which every comparison fails.
+        if any(not r >= 0 for r in rates):
             raise DatasetError("fault rates must be >= 0")
         if sum(rates) > 1.0 + 1e-9:
             raise DatasetError("fault rates must sum to <= 1")
@@ -100,6 +105,25 @@ class FaultInjector:
     fault touched (including sessions hit indirectly, e.g. the partner
     of an interleave swap) and ``log`` records each applied fault, so
     tests can assert that *untouched* sessions survive byte-identical.
+
+    :meth:`apply` is one pass with O(1) work per event.  The corrupted
+    stream is a pure function of the input stream, the mix and the
+    seed, because the RNG draws follow a fixed contract, in stream
+    order:
+
+    * one ``random()`` per event picks the fault (or none) against the
+      mix's cumulative probabilities, in field order;
+    * ``reorder`` then draws ``randrange(REORDER_SPAN)`` for the delay,
+      ``truncate`` of a ``SessionStart`` draws one ``choice`` of the
+      field to blank, and ``negative_timing`` of a ``Heartbeat`` draws
+      one ``random()`` to pick the timing to negate;
+    * ``interleave`` of an event with a session id draws
+      ``randrange(len(seen) - 1)`` over the sessions seen so far in
+      first-seen order, skipping the event's own session; it draws
+      nothing when that session is the only one seen.
+
+    Changing this order changes every corrupted stream built from a
+    seed, so tests compare :meth:`apply` against a naive reference.
     """
 
     REORDER_SPAN = 3
@@ -111,57 +135,73 @@ class FaultInjector:
         self.corrupted_sessions: Set[str] = set()
 
     def apply(self, events: Iterable[object]) -> List[object]:
+        with obs.span("faults.apply", seed=self.seed) as span:
+            out, consumed = self._apply(events)
+            span.set(
+                events=consumed,
+                faults=len(self.log),
+                corrupted_sessions=len(self.corrupted_sessions),
+            )
+        return out
+
+    def _apply(self, events: Iterable[object]) -> Tuple[List[object], int]:
+        """The corrupted stream and the number of input events read."""
         rng = random.Random(self.seed)
+        draw = rng.random
         self.log = []
         self.corrupted_sessions = set()
         out: List[object] = []
-        # Events being delayed for the reorder fault: (release_at, event).
-        delayed: List[Tuple[int, object]] = []
-        seen_sessions: List[str] = []
-
-        def flush_due(position: int) -> None:
-            due = [e for at, e in delayed if at <= position]
-            delayed[:] = [(at, e) for at, e in delayed if at > position]
-            out.extend(due)
-
-        for index, event in enumerate(events):
-            sid = getattr(event, "session_id", "")
-            if sid and sid not in seen_sessions:
-                seen_sessions.append(sid)
-            kind = self._draw(rng)
-            if kind is None:
-                out.append(event)
-            elif kind == "drop":
-                self._record("drop", index, sid)
-            elif kind == "duplicate":
-                out.append(event)
-                out.append(event)
-                self._record("duplicate", index, sid)
-            elif kind == "reorder":
-                span = 1 + rng.randrange(self.REORDER_SPAN)
-                delayed.append((index + span, event))
-                self._record("reorder", index, sid)
-            elif kind == "truncate":
-                out.append(self._truncate(event, rng, index, sid))
-            elif kind == "negative_timing":
-                out.append(self._negate(event, rng, index, sid))
-            elif kind == "interleave":
-                out.append(self._interleave(event, rng, index, sid,
-                                            seen_sessions))
-            flush_due(index)
-        out.extend(e for _, e in sorted(delayed, key=lambda d: d[0]))
-        return out
-
-    # ------------------------------------------------------------------
-
-    def _draw(self, rng: random.Random) -> Optional[str]:
-        u = rng.random()
+        emit = out.append
+        # Events delayed by the reorder fault, keyed by the stream index
+        # after which they are released, in the order they were delayed.
+        delayed: Dict[int, List[object]] = {}
+        # Sessions in first-seen order, and each one's position there.
+        seen: List[str] = []
+        position: Dict[str, int] = {}
+        names: List[str] = []
+        cumulative: List[float] = []
         acc = 0.0
         for f in fields(self.mix):
             acc += getattr(self.mix, f.name)
-            if u < acc:
-                return f.name
-        return None
+            names.append(f.name)
+            cumulative.append(acc)
+        cutoff = acc
+
+        index = -1
+        for index, event in enumerate(events):
+            sid = getattr(event, "session_id", "")
+            if sid and sid not in position:
+                position[sid] = len(seen)
+                seen.append(sid)
+            u = draw()
+            if u >= cutoff:
+                emit(event)
+            else:
+                kind = names[bisect_right(cumulative, u)]
+                if kind == "drop":
+                    self._record("drop", index, sid)
+                elif kind == "duplicate":
+                    emit(event)
+                    emit(event)
+                    self._record("duplicate", index, sid)
+                elif kind == "reorder":
+                    delay = 1 + rng.randrange(self.REORDER_SPAN)
+                    delayed.setdefault(index + delay, []).append(event)
+                    self._record("reorder", index, sid)
+                elif kind == "truncate":
+                    emit(self._truncate(event, rng, index, sid))
+                elif kind == "negative_timing":
+                    emit(self._negate(event, rng, index, sid))
+                else:  # interleave
+                    emit(self._interleave(event, rng, index, sid, seen,
+                                          position))
+            if delayed and index in delayed:
+                out.extend(delayed.pop(index))
+        for at in sorted(delayed):
+            out.extend(delayed[at])
+        return out, index + 1
+
+    # ------------------------------------------------------------------
 
     def _record(self, kind: str, index: int, sid: str) -> None:
         self.log.append(FaultEvent(kind=kind, index=index, session_id=sid))
@@ -207,13 +247,20 @@ class FaultInjector:
         rng: random.Random,
         index: int,
         sid: str,
-        seen_sessions: Sequence[str],
+        seen: Sequence[str],
+        position: Dict[str, int],
     ) -> object:
-        """Re-address an event to another session seen in the stream."""
-        others = [s for s in seen_sessions if s != sid]
-        if not sid or not others:
+        """Re-address an event to another session seen in the stream.
+
+        The partner is drawn uniformly from ``seen`` without ``sid``:
+        draw ``k`` over the other sessions, then step over ``sid``'s own
+        slot, which draws the same partner as indexing the list with
+        ``sid`` removed.
+        """
+        if not sid or len(seen) < 2:
             return event
-        other = others[rng.randrange(len(others))]
+        k = rng.randrange(len(seen) - 1)
+        other = seen[k + (k >= position[sid])]
         self._record("interleave", index, sid)
         self.corrupted_sessions.add(other)
         if isinstance(event, Heartbeat):

@@ -38,6 +38,9 @@ from repro.telemetry.events import Heartbeat, SessionEnd, SessionStart, Sessioni
 from repro.telemetry.records import ViewRecord
 
 
+_NUMBER = (int, float)
+
+
 class ErrorPolicy(str, Enum):
     """How the ingestion pipeline reacts to bad events."""
 
@@ -238,6 +241,10 @@ class RobustSessionizer:
         self._parked_total = 0
         self._clock = 0
         self._counters = IngestCounters(metrics)
+        # The values last written to the open/parked gauges: a gauge
+        # keeps its last value, so it is written only when one changes.
+        self._open_gauge: Optional[int] = None
+        self._parked_gauge: Optional[int] = None
         self.report = IngestReport(
             policy=self.policy, counters=self._counters
         )
@@ -259,13 +266,21 @@ class RobustSessionizer:
             if record is not None:
                 self._counters.records.inc()
                 self.report.records.append(record)
-            self._counters.open_sessions.set(self._strict.open_sessions)
+            open_now = self._strict.open_sessions
+            if open_now != self._open_gauge:
+                self._open_gauge = open_now
+                self._counters.open_sessions.set(open_now)
             return record
         record = self._ingest_lenient(event)
         if self.max_idle_events is not None:
             self._reap_stale()
-        self._counters.open_sessions.set(len(self._open))
-        self._counters.parked_events.set(self._parked_total)
+        open_now = len(self._open)
+        if open_now != self._open_gauge:
+            self._open_gauge = open_now
+            self._counters.open_sessions.set(open_now)
+        if self._parked_total != self._parked_gauge:
+            self._parked_gauge = self._parked_total
+            self._counters.parked_events.set(self._parked_total)
         return record
 
     def ingest_many(self, events: Iterable[object]) -> List[ViewRecord]:
@@ -488,9 +503,14 @@ class RobustSessionizer:
         rebuffering = event.rebuffering_seconds
         interval = event.interval_seconds
         bitrate = event.bitrate_kbps
-        if not all(
-            isinstance(v, (int, float)) and math.isfinite(v)
-            for v in (playing, rebuffering, interval, bitrate)
+        # Field by field in this order, so a failing check short-circuits
+        # the rest exactly as a loop over the four fields would.
+        isfinite = math.isfinite
+        if not (
+            isinstance(playing, _NUMBER) and isfinite(playing)
+            and isinstance(rebuffering, _NUMBER) and isfinite(rebuffering)
+            and isinstance(interval, _NUMBER) and isfinite(interval)
+            and isinstance(bitrate, _NUMBER) and isfinite(bitrate)
         ):
             self._quarantine(
                 event, RejectReason.MALFORMED_EVENT,

@@ -20,6 +20,8 @@ import json
 import pytest
 
 from repro import cli, figures, obs
+from repro.chaos.injectors import inject_telemetry
+from repro.chaos.plan import FaultKind, FaultPlan, FaultSpec, Layer
 from repro.constants import ContentType
 from repro.core.report import format_table
 from repro.delivery.multicdn import CdnBroker, ResilientFetcher
@@ -138,6 +140,67 @@ class TestIngestSingleSource:
         assert len(spans) == 1
         assert spans[0].attrs["policy"] == "quarantine"
         assert spans[0].attrs["events"] > 0
+
+
+class TestFaultInjectionSpans:
+    """Both telemetry injectors trace their cost with their own audit."""
+
+    @staticmethod
+    def _only_span(ctx, name: str):
+        spans = [s for s in ctx.tracer.finished if s.name == name]
+        assert len(spans) == 1
+        return spans[0]
+
+    def test_fault_injector_span_matches_its_audit(self, eco, global_obs):
+        records = [
+            r
+            for r in eco.dataset.records
+            if r.view_duration_hours > 0 and r.rebuffer_ratio < 1.0
+        ][:40]
+        events = list(events_from_records(records))
+        injector = FaultInjector(FaultMix.uniform(0.3), seed=5)
+        injector.apply(iter(events))
+        span = self._only_span(global_obs, "faults.apply")
+        assert span.attrs == {
+            "seed": 5,
+            "events": len(events),
+            "faults": len(injector.log),
+            "corrupted_sessions": len(injector.corrupted_sessions),
+        }
+        assert span.attrs["faults"] > 0
+
+    def test_chaos_telemetry_span_matches_its_audit(self, eco, global_obs):
+        events = list(_faulted_events(eco, rate=0.0, sessions=30))
+        plan = FaultPlan(
+            name="span-audit",
+            seed=9,
+            specs=tuple(
+                FaultSpec(kind=kind, layer=Layer.TELEMETRY, intensity=0.2)
+                for kind in (
+                    FaultKind.REORDER_START,
+                    FaultKind.DROP,
+                    FaultKind.CORRUPT,
+                )
+            ),
+        )
+        injection = inject_telemetry(events, plan)
+        span = self._only_span(global_obs, "chaos.inject_telemetry")
+        assert span.attrs == {
+            "seed": 9,
+            "events": len(events),
+            "faults": len(injection.log),
+            "corrupted_sessions": len(injection.corrupted_sessions),
+        }
+        assert span.attrs["faults"] == injection.total_injected > 0
+
+    def test_traced_ingest_shows_fault_injection(self, capsys, global_obs):
+        exit_code = cli.main(
+            ["ingest", "--trace", "--sessions", "20", "--publishers", "24"]
+        )
+        assert exit_code == 0
+        err = capsys.readouterr().err
+        assert "faults.apply" in err
+        assert "ingest.batch" in err
 
 
 # ---------------------------------------------------------------------------
