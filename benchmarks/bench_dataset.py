@@ -1,20 +1,23 @@
-"""Dataset backend benchmark: row-at-a-time vs columnar aggregation.
+"""Dataset benchmark: naive per-record loops vs the column store.
 
-Times the hot dataset aggregations on both backends over a scaled-up
-record set (default 10x the 6-snapshot build) and writes the timings
-and speedups to ``BENCH_dataset.json`` at the repo root.  CI runs this
-at small scale and fails the build if the columnar path is ever slower
-than the row path (speedup < 1).  Run directly::
+Times the hot dataset aggregations two ways over a scaled-up record set
+(default 10x the 6-snapshot build): as the naive per-record reference
+(:mod:`repro.testkit.naive`, the plain Python loop an analysis would
+otherwise write) and on :class:`~repro.telemetry.dataset.Dataset`'s
+column store.  It writes the timings and speedups to
+``BENCH_dataset.json`` at the repo root.  CI runs this at small scale
+and fails the build if the column store is ever slower than the naive
+loop (speedup < 1).  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_dataset.py [--scale 10]
 
-The headline numbers are **steady-state query** timings: one dataset
-per backend, memoized aggregation results dropped between repeats, the
-interned column store kept.  That mirrors real usage — the figures
-pipeline builds one dataset and runs ~20 analyses against it, so code
-interning is a one-time cost per store, not per query.  The one-time
-encode cost is measured separately and recorded in the payload
-(``first_call``) so the amortization is visible, not hidden.
+The headline numbers are **steady-state query** timings: one dataset,
+memoized aggregation results dropped between repeats, the interned
+column store kept.  That mirrors real usage — the figures pipeline
+builds one dataset and runs ~20 analyses against it, so code interning
+is a one-time cost per store, not per query.  The one-time encode cost
+is measured separately and recorded in the payload (``first_call``) so
+the amortization is visible, not hidden.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.records import ViewRecord
+from repro.testkit import naive
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_dataset.json"
 
@@ -42,65 +46,93 @@ HEADLINE_OPS = ("publisher_view_hours", "view_hours_by_snapshot")
 HEADLINE_MIN_SPEEDUP = 5.0
 
 #: First-call ceiling: interning must amortize, not tax — the cold
-#: columnar aggregation may not exceed a cold row scan by more than
-#: this factor (the allowance absorbs timer noise at small scales).
+#: columnar aggregation may not exceed a naive scan by more than this
+#: factor (the allowance absorbs timer noise at small scales).
 FIRST_CALL_MAX_RATIO = 1.15
 
 
-def _base_records(scale: int) -> Tuple[ViewRecord, ...]:
+Records = Tuple[ViewRecord, ...]
+
+
+def _base_records(scale: int) -> Records:
     config = EcosystemConfig(seed=SEED, snapshot_limit=SNAPSHOT_LIMIT)
     records = EcosystemGenerator(config).generate().dataset.records
     return records * scale
 
 
-def _ops() -> Dict[str, Callable[[Dataset], object]]:
+#: Each op as (column-store query, naive per-record equivalent).
+Op = Tuple[Callable[[Dataset], object], Callable[[Records], object]]
+
+
+def _ops() -> Dict[str, Op]:
     return {
-        "publisher_view_hours": lambda d: d.publisher_view_hours(),
-        "view_hours_by_snapshot": lambda d: d.view_hours_by("snapshot"),
-        "views_by_publisher": lambda d: d.views_by("publisher_id"),
-        "distinct_video_ids": lambda d: d.distinct_video_ids(),
-        "snapshot_slice_totals": lambda d: [
-            d.for_snapshot(s).total_view_hours() for s in d.snapshots()
-        ],
+        "publisher_view_hours": (
+            lambda d: d.publisher_view_hours(),
+            lambda r: naive.grouped(r, "view_hours", "publisher_id"),
+        ),
+        "view_hours_by_snapshot": (
+            lambda d: d.view_hours_by("snapshot"),
+            lambda r: naive.grouped(r, "view_hours", "snapshot"),
+        ),
+        "views_by_publisher": (
+            lambda d: d.views_by("publisher_id"),
+            lambda r: naive.grouped(r, "views", "publisher_id"),
+        ),
+        "distinct_video_ids": (
+            lambda d: d.distinct_video_ids(),
+            naive.distinct_video_ids,
+        ),
+        "snapshot_slice_totals": (
+            lambda d: [
+                d.for_snapshot(s).total_view_hours() for s in d.snapshots()
+            ],
+            lambda r: [
+                naive.total(naive.for_snapshot(r, s), "view_hours")
+                for s in naive.snapshots(r)
+            ],
+        ),
     }
 
 
-def _time_op(
-    dataset: Dataset,
-    op: Callable[[Dataset], object],
-    repeats: int,
-) -> float:
-    """Best-of-N steady-state run.
-
-    The warm-up call interns any columns the op needs (a no-op on the
-    row backend); each timed repeat first drops the dataset's memoized
-    aggregation results (``_init_caches``) so both backends recompute
-    the answer — the row backend re-scans, the columnar backend
-    re-aggregates over the already-interned store.
-    """
-    op(dataset)
+def _best_of(run: Callable[[], object], repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
-        dataset._init_caches()
         start = time.perf_counter()
-        op(dataset)
+        run()
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def _first_call_s(
-    records: Tuple[ViewRecord, ...], columnar: bool, repeats: int
+def _time_columnar(
+    dataset: Dataset, op: Callable[[Dataset], object], repeats: int
 ) -> float:
-    """Cold cost of the first aggregation on a fresh dataset (for the
-    columnar backend this includes code interning).
+    """Best-of-N steady-state run.
+
+    The warm-up call interns any columns the op needs; each timed
+    repeat first drops the dataset's memoized aggregation results
+    (``_init_caches``) so the answer is re-aggregated over the
+    already-interned store.
+    """
+    op(dataset)
+
+    def run() -> object:
+        dataset._init_caches()
+        return op(dataset)
+
+    return _best_of(run, repeats)
+
+
+def _first_call_s(records: Records, repeats: int) -> float:
+    """Cold cost of the first aggregation on a fresh dataset (including
+    code interning).
 
     Best of ``repeats`` fresh datasets: a single cold sample swings
-    ~15% with scheduler noise, which is wider than the row-vs-columnar
+    ~15% with scheduler noise, which is wider than the naive-vs-columnar
     gap this number exists to track.
     """
     best = float("inf")
     for _ in range(repeats):
-        dataset = Dataset(records, columnar=columnar)
+        dataset = Dataset(records)
         start = time.perf_counter()
         dataset.publisher_view_hours()
         best = min(best, time.perf_counter() - start)
@@ -109,22 +141,22 @@ def _first_call_s(
 
 def run_bench(scale: int, repeats: int) -> Dict[str, object]:
     records = _base_records(scale)
-    row = Dataset(records, columnar=False)
-    col = Dataset(records, columnar=True)
+    dataset = Dataset(records)
     results: Dict[str, Dict[str, float]] = {}
-    for name, op in _ops().items():
-        row_s = _time_op(row, op, repeats)
-        col_s = _time_op(col, op, repeats)
+    for name, (query, reference) in _ops().items():
+        naive_s = _best_of(lambda: reference(records), repeats)
+        col_s = _time_columnar(dataset, query, repeats)
         results[name] = {
-            "row_s": round(row_s, 6),
+            "naive_s": round(naive_s, 6),
             "columnar_s": round(col_s, 6),
-            "speedup": round(row_s / col_s, 2) if col_s > 0 else 0.0,
+            "speedup": round(naive_s / col_s, 2) if col_s > 0 else 0.0,
         }
         print(
-            f"{name:24s} row {row_s * 1e3:9.2f} ms   "
+            f"{name:24s} naive {naive_s * 1e3:9.2f} ms   "
             f"columnar {col_s * 1e3:9.2f} ms   "
             f"{results[name]['speedup']:8.2f}x"
         )
+    first_reference = _ops()["publisher_view_hours"][1]
     return {
         "meta": {
             "seed": SEED,
@@ -132,14 +164,13 @@ def run_bench(scale: int, repeats: int) -> Dict[str, object]:
             "scale": scale,
             "records": len(records),
             "repeats": repeats,
+            "comparand": "repro.testkit.naive",
         },
         "first_call": {
-            "row_s": round(
-                _first_call_s(records, columnar=False, repeats=repeats), 6
+            "naive_s": round(
+                _best_of(lambda: first_reference(records), repeats), 6
             ),
-            "columnar_s": round(
-                _first_call_s(records, columnar=True, repeats=repeats), 6
-            ),
+            "columnar_s": round(_first_call_s(records, repeats), 6),
         },
         "operations": results,
     }
@@ -157,7 +188,7 @@ def main(argv: List[str] = None) -> int:
         "--repeats",
         type=int,
         default=3,
-        help="timed runs per (op, backend); best is kept (default: 3)",
+        help="timed runs per (op, side); best is kept (default: 3)",
     )
     parser.add_argument(
         "--out",
@@ -185,10 +216,10 @@ def main(argv: List[str] = None) -> int:
         if stats["speedup"] < floor:
             failures.append(f"{name}: {stats['speedup']}x < {floor}x")
     first = payload["first_call"]
-    if first["columnar_s"] > first["row_s"] * FIRST_CALL_MAX_RATIO:
+    if first["columnar_s"] > first["naive_s"] * FIRST_CALL_MAX_RATIO:
         failures.append(
             f"first_call: columnar {first['columnar_s']}s > "
-            f"{FIRST_CALL_MAX_RATIO}x row {first['row_s']}s"
+            f"{FIRST_CALL_MAX_RATIO}x naive {first['naive_s']}s"
         )
     if failures:
         print("FAIL: " + "; ".join(failures), file=sys.stderr)

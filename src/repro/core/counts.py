@@ -19,25 +19,19 @@ from repro.telemetry.dataset import Dataset
 
 def publisher_counts(dataset: Dataset, dimension: Dimension) -> Dict[str, int]:
     """Distinct dimension values per publisher in a dataset slice."""
-    if dimension.column_key is not None and dataset.columnar:
+    if dimension.column_key is not None:
         counts = dataset.values_per_publisher(dimension.column_key)
-        if not counts:
-            raise AnalysisError(
-                f"no records in scope for dimension {dimension.name!r}"
-            )
-        return counts
-    values_by_publisher: Dict[str, Set[object]] = defaultdict(set)
-    for record in dataset:
-        for value in dimension.values(record):
-            values_by_publisher[record.publisher_id].add(value)
-    if not values_by_publisher:
+    else:
+        values_by_publisher: Dict[str, Set[object]] = defaultdict(set)
+        for record in dataset:
+            for value in dimension.values(record):
+                values_by_publisher[record.publisher_id].add(value)
+        counts = {p: len(v) for p, v in values_by_publisher.items()}
+    if not counts:
         raise AnalysisError(
             f"no records in scope for dimension {dimension.name!r}"
         )
-    return {
-        publisher: len(values)
-        for publisher, values in values_by_publisher.items()
-    }
+    return counts
 
 
 @dataclass(frozen=True)

@@ -34,24 +34,17 @@ def publisher_support_series(
     series: SeriesByValue = {}
     for snapshot in dataset.snapshots():
         snap = dataset.for_snapshot(snapshot)
-        if key is not None and snap.columnar:
+        if key is not None:
             per_value = snap.publishers_per_value(key)
-            total = len(snap.publishers())
-            series[snapshot] = {
-                value: 100.0 * count / total
-                for value, count in per_value.items()
-            }
-            continue
-        publishers_by_value: Dict[object, set] = defaultdict(set)
-        all_publishers = set()
-        for record in snap:
-            all_publishers.add(record.publisher_id)
-            for value in dimension.values(record):
-                publishers_by_value[value].add(record.publisher_id)
-        total = len(all_publishers)
+        else:
+            publishers_by_value: Dict[object, set] = defaultdict(set)
+            for record in snap:
+                for value in dimension.values(record):
+                    publishers_by_value[value].add(record.publisher_id)
+            per_value = {v: len(p) for v, p in publishers_by_value.items()}
+        total = len(snap.publishers())
         series[snapshot] = {
-            value: 100.0 * len(publishers) / total
-            for value, publishers in publishers_by_value.items()
+            value: 100.0 * count / total for value, count in per_value.items()
         }
     return series
 
@@ -73,41 +66,29 @@ def view_hour_share_series(
     series: SeriesByValue = {}
     for snapshot in dataset.snapshots():
         snap = dataset.for_snapshot(snapshot)
-        if key is not None and snap.columnar:
+        if key is not None:
             if excluded:
                 snap = snap.exclude_publishers(excluded)
-            totals_by_value = (
-                snap.views_by(key) if by_views else snap.view_hours_by(key)
-            )
-            in_scope = sum(totals_by_value.values())
-            if in_scope <= 0:
-                raise AnalysisError(
-                    f"snapshot {snapshot} has no in-scope records"
-                )
-            series[snapshot] = {
-                value: 100.0 * total / in_scope
-                for value, total in totals_by_value.items()
-            }
-            continue
-        totals: Dict[object, float] = defaultdict(float)
-        in_scope_total = 0.0
-        for record in snap:
-            if record.publisher_id in excluded:
-                continue
-            weighted = dimension.weighted_values(record)
-            if not weighted:
-                continue
-            amount = record.views if by_views else record.view_hours
-            in_scope_total += amount
-            for value, fraction in weighted:
-                totals[value] += amount * fraction
-        if in_scope_total <= 0:
-            raise AnalysisError(
-                f"snapshot {snapshot} has no in-scope records"
-            )
+            group_by = snap.views_by if by_views else snap.view_hours_by
+            totals = group_by(key)
+            in_scope = sum(totals.values())
+        else:
+            totals = defaultdict(float)
+            in_scope = 0.0
+            for record in snap:
+                if record.publisher_id in excluded:
+                    continue
+                weighted = dimension.weighted_values(record)
+                if not weighted:
+                    continue
+                amount = record.views if by_views else record.view_hours
+                in_scope += amount
+                for value, fraction in weighted:
+                    totals[value] += amount * fraction
+        if in_scope <= 0:
+            raise AnalysisError(f"snapshot {snapshot} has no in-scope records")
         series[snapshot] = {
-            value: 100.0 * total / in_scope_total
-            for value, total in totals.items()
+            value: 100.0 * total / in_scope for value, total in totals.items()
         }
     return series
 

@@ -48,7 +48,7 @@ CATALOG: Tuple[InstrumentSpec, ...] = (
     ),
     InstrumentSpec(
         "dataset.row_fallbacks", "counter",
-        "aggregations that fell back to the row-at-a-time path",
+        "row-at-a-time passes over a dataset (iterations and filters)",
     ),
     # -- ingestion -------------------------------------------------------
     InstrumentSpec(

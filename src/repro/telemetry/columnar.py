@@ -1,20 +1,22 @@
-"""Columnar backend for :class:`~repro.telemetry.dataset.Dataset`.
+"""The column store behind :class:`~repro.telemetry.dataset.Dataset`.
 
-A :class:`ColumnStore` mirrors one immutable tuple of
-:class:`~repro.telemetry.records.ViewRecord` as NumPy arrays, built
-lazily per column and shared by every view sliced from the same root
-dataset.  Categorical fields (snapshot, publisher, video id, ...) are
-interned into integer codes so group-bys reduce to ``np.bincount`` over
-codes; numeric measures (view-hours, views) are plain float64 arrays.
+A :class:`ColumnStore` is the only representation a dataset has: one
+immutable tuple of :class:`~repro.telemetry.records.ViewRecord` mirrored
+as NumPy arrays, built lazily per column and shared by every view
+sliced from the same root dataset.  Categorical fields (snapshot,
+publisher, video id, ...) are interned into integer codes so group-bys
+reduce to ``np.bincount`` over codes; numeric measures (view-hours,
+views) are plain float64 arrays.
 
 Derived columns — values computed from a record rather than stored on
 it, such as the protocol detected from the URL — are registered through
-:class:`ColumnKey`: a *named* single-valued record function.  The store
-evaluates the function once per record on first use and memoizes the
-codes under the key's name, so every analysis that groups by the same
-derived key shares one classification pass.  A derived function may
-return ``None`` for out-of-scope records; those rows receive the
-sentinel code ``-1`` and are excluded from group-bys.
+:class:`ColumnKey`: a *named* single-valued record function, the only
+way to group by a computed value.  The store evaluates it once per
+record on first use and memoizes the codes under the key's name, so
+every analysis that groups by the same derived key shares one
+classification pass.  A derived function may return ``None`` for
+out-of-scope records; those rows receive the sentinel code ``-1`` and
+are excluded from group-bys.
 
 Everything here is immutable after construction of the record tuple:
 columns are only ever *added* to the caches, never changed, which is
@@ -49,6 +51,15 @@ class ColumnKey:
 
     def __repr__(self) -> str:  # fn identity is noise in test output
         return f"ColumnKey({self.name!r})"
+
+
+def key_parts(
+    key: "str | ColumnKey",
+) -> Tuple[str, Callable[[ViewRecord], object]]:
+    """(cache name, per-record value function) of a field or column key."""
+    if isinstance(key, ColumnKey):
+        return key.name, key.fn
+    return key, attrgetter(key)
 
 
 class ColumnStore:
@@ -92,32 +103,15 @@ class ColumnStore:
             count=len(self.records),
         )
 
-    def field_codes(
-        self, field: str
-    ) -> Tuple[np.ndarray, Tuple[object, ...]]:
-        """Interned codes for a stored record attribute."""
-        cached = self._codes.get(field)
-        if cached is None:
-            cached = self._intern(
-                field, map(attrgetter(field), self.records)
-            )
-        return cached
-
-    def derived_codes(
-        self, key: ColumnKey
-    ) -> Tuple[np.ndarray, Tuple[object, ...]]:
-        """Interned codes for a derived column, memoized by name."""
-        cached = self._codes.get(key.name)
-        if cached is None:
-            cached = self._intern(key.name, map(key.fn, self.records))
-        return cached
-
     def codes_for(
         self, key: "str | ColumnKey"
     ) -> Tuple[np.ndarray, Tuple[object, ...]]:
-        if isinstance(key, ColumnKey):
-            return self.derived_codes(key)
-        return self.field_codes(key)
+        """Interned codes for a field or derived column, memoized by name."""
+        name, fn = key_parts(key)
+        cached = self._codes.get(name)
+        if cached is None:
+            cached = self._intern(name, map(fn, self.records))
+        return cached
 
     # ------------------------------------------------------------------
     # Internal
@@ -162,9 +156,8 @@ def grouped_sum(
 ) -> Dict[object, float]:
     """Sum ``weights`` per code under ``mask``; out-of-scope dropped.
 
-    Groups with no in-scope record are absent from the result (matching
-    the row-at-a-time path); groups that appear but sum to zero are
-    kept at 0.0.
+    Groups with no in-scope record are absent from the result; groups
+    that appear but sum to zero are kept at 0.0.
     """
     if mask is not None:
         codes = codes[mask]

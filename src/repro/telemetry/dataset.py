@@ -5,17 +5,15 @@ publisher, by any record attribute — and aggregate by view-hours, by
 views, or by distinct video IDs.  Persistence is line-delimited JSON
 (gzipped when the path ends in ``.gz``).
 
-Slicing is **zero-copy**: ``filter``/``for_snapshot``/
-``exclude_publishers`` return views that share the parent's
-:class:`~repro.telemetry.columnar.ColumnStore` plus a boolean mask, so
-stacking slices never re-materializes record tuples.  Aggregations
-whose grouping key is a known column (a record field name or a
-:class:`~repro.telemetry.columnar.ColumnKey`) dispatch to vectorized
-``bincount`` group-bys over interned codes and are memoized per
-(view, key) — safe because stores are immutable.  Arbitrary callables
-fall back to the row-at-a-time path; the two paths are
-property-tested to agree (``dataset.columnar_hits`` /
-``dataset.row_fallbacks`` count the dispatches).
+A dataset is a :class:`~repro.telemetry.columnar.ColumnStore` plus an
+optional boolean mask (none for the root).  ``filter``/``for_snapshot``/
+``exclude_publishers`` return zero-copy views sharing the store under a
+narrower mask.  Aggregations group by a field name or a named
+:class:`~repro.telemetry.columnar.ColumnKey` with vectorized
+``bincount`` group-bys over interned codes, memoized per (view, key).
+``dataset.columnar_hits`` counts those dispatches and
+``dataset.row_fallbacks`` every row pass (one per iteration, one per
+``filter``); :mod:`repro.testkit.naive` is the per-record reference.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import io
 from datetime import date
 from pathlib import Path
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -48,11 +47,12 @@ from repro.telemetry.columnar import (
     ColumnStore,
     distinct_pairs,
     grouped_sum,
+    key_parts,
 )
 from repro.telemetry.records import ViewRecord
 
-#: A grouping key: record field name, named derived column, or callable.
-GroupKey = Union[str, ColumnKey, Callable[[ViewRecord], object]]
+#: A grouping key: a record field name or a named derived column.
+GroupKey = Union[str, ColumnKey]
 
 #: Records per write batch in :meth:`Dataset.save`.
 _SAVE_BATCH = 4096
@@ -61,33 +61,28 @@ _SAVE_BATCH = 4096
 class Dataset:
     """An immutable collection of weighted view records."""
 
-    def __init__(
-        self, records: Iterable[ViewRecord], columnar: bool = True
+    def __init__(self, records: Iterable[ViewRecord]) -> None:
+        self._init_view(ColumnStore(tuple(records)), None)
+
+    def _init_view(
+        self, store: ColumnStore, mask: Optional[np.ndarray]
     ) -> None:
-        materialized: Tuple[ViewRecord, ...] = tuple(records)
-        self._records: Optional[Tuple[ViewRecord, ...]] = materialized
-        self._store: Optional[ColumnStore] = (
-            ColumnStore(materialized) if columnar else None
+        self._store = store
+        self._mask = mask
+        self._records: Optional[Tuple[ViewRecord, ...]] = (
+            store.records if mask is None else None
         )
-        self._mask: Optional[np.ndarray] = None
-        self._length = len(materialized)
+        self._length = len(store) if mask is None else int(mask.sum())
         self._init_caches()
 
     def _init_caches(self) -> None:
-        self._snapshots_cache: Optional[Tuple[date, ...]] = None
-        self._snapshot_views: Dict[date, "Dataset"] = {}
-        self._exclude_views: Dict[FrozenSet[str], "Dataset"] = {}
         self._agg_cache: Dict[Tuple[str, object], object] = {}
 
     @classmethod
     def _view(cls, store: ColumnStore, mask: np.ndarray) -> "Dataset":
         """A zero-copy slice sharing ``store`` under a boolean mask."""
         view = cls.__new__(cls)
-        view._records = None
-        view._store = store
-        view._mask = mask
-        view._length = int(mask.sum())
-        view._init_caches()
+        view._init_view(store, mask)
         return view
 
     # ------------------------------------------------------------------
@@ -98,6 +93,7 @@ class Dataset:
         return self._length
 
     def __iter__(self) -> Iterator[ViewRecord]:
+        obs.counter("dataset.row_fallbacks").inc()
         return iter(self.records)
 
     def __repr__(self) -> str:
@@ -110,17 +106,9 @@ class Dataset:
     @property
     def records(self) -> Tuple[ViewRecord, ...]:
         if self._records is None:
-            assert self._store is not None and self._mask is not None
-            parent = self._store.records
-            self._records = tuple(
-                parent[i] for i in np.flatnonzero(self._mask)
-            )
+            rows = np.flatnonzero(self._mask)
+            self._records = tuple(self._store.records[i] for i in rows)
         return self._records
-
-    @property
-    def columnar(self) -> bool:
-        """Whether vectorized dispatch is available for this dataset."""
-        return self._store is not None
 
     # ------------------------------------------------------------------
     # Slicing
@@ -128,17 +116,7 @@ class Dataset:
 
     def snapshots(self) -> List[date]:
         """Sorted distinct snapshot dates."""
-        if self._snapshots_cache is None:
-            if self._store is not None:
-                codes, values = self._store.field_codes("snapshot")
-                if self._mask is not None:
-                    codes = codes[self._mask]
-                present = np.unique(codes)
-                found = sorted(values[i] for i in present)
-            else:
-                found = sorted({r.snapshot for r in self.records})
-            self._snapshots_cache = tuple(found)
-        return list(self._snapshots_cache)
+        return sorted(self._present("snapshot"))
 
     def latest_snapshot(self) -> date:
         snapshots = self.snapshots()
@@ -154,31 +132,15 @@ class Dataset:
 
     def for_snapshot(self, snapshot: date) -> "Dataset":
         """Sub-dataset of one snapshot (a zero-copy mask view)."""
-        cached = self._snapshot_views.get(snapshot)
-        if cached is not None:
-            return cached
-        if self._store is None:
-            subset = tuple(
-                r for r in self.records if r.snapshot == snapshot
-            )
-            if not subset:
-                raise DatasetError(f"no records for snapshot {snapshot}")
-            view = Dataset(subset, columnar=False)
-        else:
-            codes, values = self._store.field_codes("snapshot")
-            try:
-                code = values.index(snapshot)
-            except ValueError:
-                code = -2  # never matches a real code
-            mask = codes == code
-            if self._mask is not None:
-                mask &= self._mask
+
+        def view() -> Dataset:
+            codes, code = self._code("snapshot", snapshot)
+            mask = self._narrow(codes == code)
             if not mask.any():
                 raise DatasetError(f"no records for snapshot {snapshot}")
-            obs.counter("dataset.columnar_hits").inc()
-            view = Dataset._view(self._store, mask)
-        self._snapshot_views[snapshot] = view
-        return view
+            return self._slice(mask)
+
+        return self._memo(("for_snapshot", snapshot), view)
 
     def latest(self) -> "Dataset":
         return self.for_snapshot(self.latest_snapshot())
@@ -189,63 +151,31 @@ class Dataset:
         The predicate runs row-at-a-time (it is opaque Python), but the
         result is still a mask view — no record tuple is copied.
         """
-        if self._store is None:
-            return Dataset(
-                (r for r in self.records if predicate(r)), columnar=False
-            )
         obs.counter("dataset.row_fallbacks").inc()
         parent = self._store.records
         mask = np.zeros(len(parent), dtype=bool)
-        indices = (
-            np.flatnonzero(self._mask)
-            if self._mask is not None
-            else range(len(parent))
-        )
-        for i in indices:
-            if predicate(parent[i]):
-                mask[i] = True
+        rows = np.flatnonzero(self._narrow(~mask))
+        mask[[i for i in rows if predicate(parent[i])]] = True
         return Dataset._view(self._store, mask)
 
     def exclude_publishers(self, publisher_ids: Iterable[str]) -> "Dataset":
         """Drop named publishers — the Figs 2c/6b 'remove the top N' cut."""
         excluded = frozenset(publisher_ids)
-        cached = self._exclude_views.get(excluded)
-        if cached is not None:
-            return cached
-        if self._store is None:
-            view: Dataset = self.filter(
-                lambda r: r.publisher_id not in excluded
-            )
-        else:
-            codes, values = self._store.field_codes("publisher_id")
-            banned = np.array(
-                [i for i, v in enumerate(values) if v in excluded],
-                dtype=np.int64,
-            )
-            mask = ~np.isin(codes, banned)
-            if self._mask is not None:
-                mask &= self._mask
-            obs.counter("dataset.columnar_hits").inc()
-            view = Dataset._view(self._store, mask)
-        self._exclude_views[excluded] = view
-        return view
+
+        def view() -> Dataset:
+            codes, values = self._store.codes_for("publisher_id")
+            banned = [i for i, v in enumerate(values) if v in excluded]
+            kept = ~np.isin(codes, np.array(banned, np.int64))
+            return self._slice(self._narrow(kept))
+
+        return self._memo(("exclude_publishers", excluded), view)
 
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
 
     def publishers(self) -> Set[str]:
-        cached = self._agg_cache.get(("publishers", None))
-        if cached is None:
-            if self._store is not None:
-                codes, values = self._store.field_codes("publisher_id")
-                if self._mask is not None:
-                    codes = codes[self._mask]
-                cached = {values[i] for i in np.unique(codes)}
-            else:
-                cached = {r.publisher_id for r in self.records}
-            self._agg_cache[("publishers", None)] = cached
-        return set(cached)
+        return set(self._present("publisher_id"))
 
     def total_view_hours(self) -> float:
         return self._total("view_hours")
@@ -254,18 +184,16 @@ class Dataset:
         return self._total("views")
 
     def view_hours_by(self, key: GroupKey) -> Dict[object, float]:
-        """Sum view-hours grouped by a field, column key, or callable."""
+        """Sum view-hours grouped by a field name or column key."""
         return self._grouped("view_hours", key)
 
     def views_by(self, key: GroupKey) -> Dict[object, float]:
-        """Sum views grouped by a field, column key, or callable."""
+        """Sum views grouped by a field name or column key."""
         return self._grouped("views", key)
 
     def publisher_view_hours(self) -> Dict[str, float]:
         """View-hours per publisher — the paper's size proxy."""
-        return {
-            str(k): v for k, v in self.view_hours_by("publisher_id").items()
-        }
+        return self.view_hours_by("publisher_id")
 
     def top_publishers(self, n: int) -> List[str]:
         """The n publishers with the most view-hours."""
@@ -278,37 +206,16 @@ class Dataset:
     def distinct_video_ids(self, publisher_id: Optional[str] = None) -> int:
         """Distinct video IDs, optionally for one publisher (§3 notes
         this measure is an under-estimate where coverage is partial)."""
-        cache_key = ("distinct_video_ids", publisher_id)
-        cached = self._agg_cache.get(cache_key)
-        if cached is None:
-            if self._store is not None:
-                obs.counter("dataset.columnar_hits").inc()
-                codes, _ = self._store.field_codes("video_id")
-                if self._mask is not None:
-                    codes = codes[self._mask]
-                if publisher_id is not None:
-                    pub_codes, pub_values = self._store.field_codes(
-                        "publisher_id"
-                    )
-                    if self._mask is not None:
-                        pub_codes = pub_codes[self._mask]
-                    try:
-                        wanted = pub_values.index(publisher_id)
-                    except ValueError:
-                        wanted = -2
-                    codes = codes[pub_codes == wanted]
-                cached = int(np.unique(codes).size)
-            else:
-                cached = len(
-                    {
-                        r.video_id
-                        for r in self.records
-                        if publisher_id is None
-                        or r.publisher_id == publisher_id
-                    }
-                )
-            self._agg_cache[cache_key] = cached
-        return cached
+
+        def count() -> int:
+            obs.counter("dataset.columnar_hits").inc()
+            codes = self._masked(self._store.codes_for("video_id")[0])
+            if publisher_id is not None:
+                pub_codes, wanted = self._code("publisher_id", publisher_id)
+                codes = codes[self._masked(pub_codes) == wanted]
+            return int(np.unique(codes).size)
+
+        return self._memo(("distinct_video_ids", publisher_id), count)
 
     def publishers_per_value(self, key: GroupKey) -> Dict[object, int]:
         """Distinct publishers observed per value of ``key``.
@@ -316,72 +223,14 @@ class Dataset:
         Backs the "% of publishers supporting X" series without
         building per-value publisher sets.
         """
-        cache_key = ("publishers_per_value", _cache_token(key))
-        cached = self._agg_cache.get(cache_key)
-        if cached is None:
-            if self._store is not None and not callable(key):
-                obs.counter("dataset.columnar_hits").inc()
-                v_codes, v_values = self._store.codes_for(key)
-                p_codes, _ = self._store.field_codes("publisher_id")
-                pairs = distinct_pairs(
-                    v_codes, len(v_values), p_codes, self._store_n_pub(),
-                    self._mask,
-                )
-                counts = np.bincount(
-                    pairs // np.int64(max(self._store_n_pub(), 1)),
-                    minlength=len(v_values),
-                )
-                cached = {
-                    v_values[i]: int(counts[i])
-                    for i in np.flatnonzero(counts > 0)
-                }
-            else:
-                fn = _row_fn(key)
-                sets: Dict[object, Set[str]] = {}
-                for record in self.records:
-                    value = fn(record)
-                    if value is None:
-                        continue
-                    sets.setdefault(value, set()).add(record.publisher_id)
-                cached = {v: len(pubs) for v, pubs in sets.items()}
-            self._agg_cache[cache_key] = cached
-        return dict(cached)
+        return self._distinct_per(key, "publisher_id")
 
     def values_per_publisher(self, key: GroupKey) -> Dict[str, int]:
         """Distinct values of ``key`` observed per publisher.
 
         Backs the Figs 3a/9a/12a per-publisher instance counts.
         """
-        cache_key = ("values_per_publisher", _cache_token(key))
-        cached = self._agg_cache.get(cache_key)
-        if cached is None:
-            if self._store is not None and not callable(key):
-                obs.counter("dataset.columnar_hits").inc()
-                v_codes, v_values = self._store.codes_for(key)
-                p_codes, p_values = self._store.field_codes("publisher_id")
-                pairs = distinct_pairs(
-                    p_codes, len(p_values), v_codes, len(v_values),
-                    self._mask,
-                )
-                counts = np.bincount(
-                    pairs // np.int64(max(len(v_values), 1)),
-                    minlength=len(p_values),
-                )
-                cached = {
-                    str(p_values[i]): int(counts[i])
-                    for i in np.flatnonzero(counts > 0)
-                }
-            else:
-                fn = _row_fn(key)
-                sets: Dict[str, Set[object]] = {}
-                for record in self.records:
-                    value = fn(record)
-                    if value is None:
-                        continue
-                    sets.setdefault(record.publisher_id, set()).add(value)
-                cached = {p: len(vals) for p, vals in sets.items()}
-            self._agg_cache[cache_key] = cached
-        return dict(cached)
+        return self._distinct_per("publisher_id", key)
 
     def explode(self) -> "Dataset":
         """Expand weighted records into unit-weight records.
@@ -399,7 +248,7 @@ class Dataset:
                 )
             unit = dataclasses.replace(record, weight=1.0)
             exploded.extend([unit] * int(round(weight)))
-        return Dataset(exploded, columnar=self.columnar)
+        return Dataset(exploded)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -487,74 +336,73 @@ class Dataset:
     # Internal
     # ------------------------------------------------------------------
 
-    def _store_n_pub(self) -> int:
-        assert self._store is not None
-        _, values = self._store.field_codes("publisher_id")
-        return len(values)
+    def _masked(self, column: np.ndarray) -> np.ndarray:
+        """``column`` restricted to this view's rows."""
+        return column if self._mask is None else column[self._mask]
+
+    def _narrow(self, mask: np.ndarray) -> np.ndarray:
+        """A full-index-space ``mask`` further restricted to this view."""
+        return mask if self._mask is None else mask & self._mask
+
+    def _slice(self, mask: np.ndarray) -> "Dataset":
+        """A vectorized zero-copy slice under a full-index-space mask."""
+        obs.counter("dataset.columnar_hits").inc()
+        return Dataset._view(self._store, mask)
+
+    def _code(self, field: str, value: object) -> Tuple[np.ndarray, int]:
+        """A field's code column and ``value``'s code (-2: matches no row)."""
+        codes, values = self._store.codes_for(field)
+        try:
+            return codes, values.index(value)
+        except ValueError:
+            return codes, -2
+
+    def _memo(self, cache_key: Tuple[str, object], compute: Callable) -> Any:
+        """``compute()`` once per view: stores and masks never change."""
+        if cache_key not in self._agg_cache:
+            self._agg_cache[cache_key] = compute()
+        return self._agg_cache[cache_key]
+
+    def _present(self, field: str) -> FrozenSet[object]:
+        """Distinct values of a stored field in this view."""
+
+        def distinct() -> FrozenSet[object]:
+            codes, values = self._store.codes_for(field)
+            return frozenset(values[i] for i in np.unique(self._masked(codes)))
+
+        return self._memo(("present", field), distinct)
+
+    def _distinct_per(
+        self, group: GroupKey, member: GroupKey
+    ) -> Dict[object, int]:
+        """Distinct in-scope ``member`` values per ``group`` value."""
+
+        def count() -> Dict[object, int]:
+            obs.counter("dataset.columnar_hits").inc()
+            g_codes, g_values = self._store.codes_for(group)
+            m_codes, m_values = self._store.codes_for(member)
+            n_members = max(len(m_values), 1)
+            pairs = distinct_pairs(
+                g_codes, len(g_values), m_codes, n_members, self._mask
+            )
+            counts = np.bincount(pairs // n_members, minlength=len(g_values))
+            return {g_values[i]: int(counts[i]) for i in counts.nonzero()[0]}
+
+        names = (key_parts(group)[0], key_parts(member)[0])
+        return dict(self._memo(("distinct", names), count))
 
     def _total(self, measure: str) -> float:
-        cache_key = ("total", measure)
-        cached = self._agg_cache.get(cache_key)
-        if cached is None:
-            if self._store is not None:
-                column = self._store.numeric(measure)
-                if self._mask is not None:
-                    column = column[self._mask]
-                cached = float(np.sum(column))
-            elif measure == "view_hours":
-                cached = sum(r.view_hours for r in self.records)
-            else:
-                cached = sum(r.views for r in self.records)
-            self._agg_cache[cache_key] = cached
-        return cached
+        column = self._store.numeric(measure)
+        return self._memo(
+            ("total", measure), lambda: float(np.sum(self._masked(column)))
+        )
 
     def _grouped(self, measure: str, key: GroupKey) -> Dict[object, float]:
-        if callable(key) and not isinstance(key, ColumnKey):
-            # Opaque callables keep their historical semantics exactly:
-            # every return value (including None) is a group.
-            obs.counter("dataset.row_fallbacks").inc()
-            totals: Dict[object, float] = {}
-            attr = "view_hours" if measure == "view_hours" else "views"
-            for record in self.records:
-                value = key(record)
-                totals[value] = totals.get(value, 0.0) + getattr(
-                    record, attr
-                )
-            return totals
-        cache_key = (measure, _cache_token(key))
-        cached = self._agg_cache.get(cache_key)
-        if cached is None:
-            if self._store is not None:
-                obs.counter("dataset.columnar_hits").inc()
-                codes, values = self._store.codes_for(key)
-                cached = grouped_sum(
-                    codes, values, self._store.numeric(measure), self._mask
-                )
-            else:
-                fn = _row_fn(key)
-                attr = "view_hours" if measure == "view_hours" else "views"
-                cached = {}
-                for record in self.records:
-                    value = fn(record)
-                    if value is None:
-                        continue
-                    cached[value] = cached.get(value, 0.0) + getattr(
-                        record, attr
-                    )
-            self._agg_cache[cache_key] = cached
-        return dict(cached)
+        def group() -> Dict[object, float]:
+            obs.counter("dataset.columnar_hits").inc()
+            codes, values = self._store.codes_for(key)
+            weights = self._store.numeric(measure)
+            return grouped_sum(codes, values, weights, self._mask)
 
+        return dict(self._memo((measure, key_parts(key)[0]), group))
 
-def _cache_token(key: GroupKey) -> object:
-    """Hashable cache identity of a non-callable grouping key."""
-    return key.name if isinstance(key, ColumnKey) else key
-
-
-def _row_fn(key: GroupKey) -> Callable[[ViewRecord], object]:
-    """Row-path evaluator matching the columnar scope semantics."""
-    if isinstance(key, ColumnKey):
-        return key.fn
-    if callable(key):
-        return key
-    field = str(key)
-    return lambda record: getattr(record, field)

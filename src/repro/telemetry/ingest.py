@@ -506,12 +506,16 @@ class RobustSessionizer:
         # Field by field in this order, so a failing check short-circuits
         # the rest exactly as a loop over the four fields would.
         isfinite = math.isfinite
-        if not (
-            isinstance(playing, _NUMBER) and isfinite(playing)
-            and isinstance(rebuffering, _NUMBER) and isfinite(rebuffering)
-            and isinstance(interval, _NUMBER) and isfinite(interval)
-            and isinstance(bitrate, _NUMBER) and isfinite(bitrate)
-        ):
+        try:
+            well_formed = (
+                isinstance(playing, _NUMBER) and isfinite(playing)
+                and isinstance(rebuffering, _NUMBER) and isfinite(rebuffering)
+                and isinstance(interval, _NUMBER) and isfinite(interval)
+                and isinstance(bitrate, _NUMBER) and isfinite(bitrate)
+            )
+        except OverflowError:  # an int too large for a float
+            well_formed = False
+        if not well_formed:
             self._quarantine(
                 event, RejectReason.MALFORMED_EVENT,
                 "non-numeric or non-finite heartbeat timing",

@@ -9,9 +9,10 @@ checked only piecewise.  This package checks the *whole chain* at once:
   :class:`~repro.telemetry.dataset.Dataset` -> every registered figure
   into one reproducible run artifact (:class:`ScenarioRun`);
 * **differential oracles** (:mod:`repro.testkit.differential`) execute
-  a scenario along independent code paths — row vs columnar dispatch,
-  serial vs parallel synthesis, strict vs repair ingest on clean
-  input, save/load and manifest round-trips — and assert equivalence;
+  a scenario along independent code paths — column store vs generic
+  and naive references, serial vs parallel synthesis, strict vs repair
+  ingest on clean input, save/load and manifest round-trips — and
+  assert equivalence;
 * **metamorphic oracles** (:mod:`repro.testkit.metamorphic`) assert
   relations that must hold between a run and a transformed run:
   record-permutation invariance, publisher-subset monotonicity,

@@ -2,19 +2,29 @@
 
 Each oracle executes the scenario along two (or more) implementations
 that are supposed to be observationally equivalent and asserts they
-are.  These are the contracts the columnar backend (PR 4), the
-parallel generator (PR 4), the robust ingest path (PR 1), and the
-manifest writers/parsers (seed) each promised individually — here they
-are enforced together, per scenario, forever.
+are.  These are the contracts the column store, the parallel
+generator, the robust ingest path and the manifest writers/parsers
+each promised individually — here they are enforced together, per
+scenario, forever.
 """
 
 from __future__ import annotations
 
+import copy
 import tempfile
+from operator import attrgetter
 from pathlib import Path
-from typing import List
+from typing import Callable, Dict, Iterator, List
 
-from repro.constants import HTTP_ADAPTIVE_PROTOCOLS, ContentType, Protocol
+from repro.constants import (
+    HTTP_ADAPTIVE_PROTOCOLS, ContentType, Platform, Protocol,
+)
+from repro.core import counts, prevalence
+from repro.core.dimensions import (
+    PROTOCOL_COLUMN, Dimension, FamilyDimension, PlatformDimension,
+    ProtocolDimension,
+)
+from repro.core.summary import rtmp_share
 from repro.entities.ladder import BitrateLadder
 from repro.entities.video import Video
 from repro.packaging.manifest import manifest_writer_for, parser_for
@@ -22,12 +32,15 @@ from repro.packaging.manifest.detect import (
     detect_protocol,
     sample_manifest_url,
 )
+from repro.errors import AnalysisError
+from repro.synthesis.generator import EcosystemResult
 from repro.telemetry.dataset import Dataset
 from repro.telemetry.ingest import (
     ErrorPolicy,
     IngestPipeline,
     events_from_records,
 )
+from repro.testkit import naive
 from repro.testkit.oracles import Check, Skip, oracle
 from repro.testkit.scenario import ScenarioRun
 
@@ -38,37 +51,107 @@ _CLEAN_REPLAY_LIMIT = 200
 _LADDER_SAMPLE = 3
 
 
+#: Fields the naive reference groups by on every view; derived columns
+#: (a URL parse or registry lookup per record) on the root only.
+_FIELDS = ("publisher_id", "snapshot", "video_id", "sdk_name", "content_type")
+_DERIVED = (PROTOCOL_COLUMN, PlatformDimension().column_key)
+
+
+def _generic(dimension: Dimension) -> Dimension:
+    """The dimension without its column key: core's generic path."""
+    stripped = copy.copy(dimension)
+    stripped.column_key = None
+    return stripped
+
+
+def _outcome(analysis: Callable[[], object]) -> object:
+    """A result or its typed refusal (both paths must refuse alike)."""
+    try:
+        return analysis()
+    except AnalysisError as error:
+        return f"AnalysisError: {error}"
+
+
+def dispatch_comparisons(
+    result: EcosystemResult,
+) -> Iterator[naive.Comparison]:
+    """Each column-dispatching analysis beside the same analysis on the
+    key-stripped dimension, and ``rtmp_share`` beside the generic RTMP
+    share of the all-protocol view-hour series."""
+    data, latest = result.dataset, result.dataset.latest()
+    share = prevalence.view_hour_share_series
+    drivers = result.dash_driver_ids
+    analyses: Dict[str, Callable[[Dimension], object]] = {
+        "support": lambda d: prevalence.publisher_support_series(data, d),
+        "share": lambda d: share(data, d),
+        "share-no-dash": lambda d: share(data, d, exclude_publishers=drivers),
+        "share-by-views": lambda d: share(data, d, by_views=True),
+        "counts-latest": lambda d: counts.count_distribution(latest, d),
+    }
+    dimensions = [
+        ProtocolDimension(http_only=True),
+        ProtocolDimension(http_only=False),
+        PlatformDimension(),
+    ] + [FamilyDimension(platform) for platform in Platform]
+    for dimension in dimensions:
+        for name, analysis in analyses.items():
+            yield (
+                f"{name}[{dimension.column_key.name}]",
+                _outcome(lambda: analysis(dimension)),
+                _outcome(lambda: analysis(_generic(dimension))),
+            )
+    series = share(data, _generic(ProtocolDimension(http_only=False)))
+    rtmp = [series[day].get(Protocol.RTMP, 0.0) for day in data.snapshots()]
+    yield "rtmp_share", rtmp_share(data), dict(first=rtmp[0], latest=rtmp[-1])
+
+
 @oracle(
     "differential",
     "row-vs-columnar",
-    "every figure agrees between vectorized and row-at-a-time dispatch",
+    "column-keyed analyses match the generic path; every dataset "
+    "aggregation and slice matches the naive per-record reference",
 )
 def row_vs_columnar(run: ScenarioRun, check: Check) -> str:
-    """The PR 4 parity contract, over the scenario's whole figure set."""
-    base, row = run.result.dataset, run.row_result().dataset
-    check.that(base.columnar, "base dataset must be columnar-backed")
-    check.that(not row.columnar, "row variant must not be columnar-backed")
-    check.equal(len(row), len(base), "record count")
-    check.equal(row.snapshots(), base.snapshots(), "snapshot list")
-    check.equal(row.publishers(), base.publishers(), "publisher set")
-    check.close(
-        row.total_view_hours(), base.total_view_hours(), "total view-hours"
-    )
-    check.dicts_close(
-        row.publisher_view_hours(),
-        base.publisher_view_hours(),
-        "publisher view-hours",
-    )
-    for figure_id in run.spec.figures():
-        check.rows_equal(
-            run.figure_rows(figure_id, "row"),
-            run.figure_rows(figure_id),
-            f"figure {figure_id}",
-            rel=1e-9,
+    """Vectorized dispatch checked against two references."""
+    compared = list(dispatch_comparisons(run.result))
+    analyses = len(compared)
+    data = run.result.dataset
+    records = data.records
+    top, last = data.top_publishers(2), data.latest_snapshot()
+    rest = naive.exclude_publishers(records, top)
+    syndicated = attrgetter("is_syndicated")
+    views = [("root", data, records)] + [
+        (f"snapshot {day}", data.for_snapshot(day),
+         naive.for_snapshot(records, day))
+        for day in data.snapshots()
+    ] + [
+        ("without top-2", data.exclude_publishers(top), rest),
+        ("syndicated without top-2",
+         data.exclude_publishers(top).filter(syndicated),
+         naive.select(rest, syndicated)),
+        ("latest without top-2",
+         data.for_snapshot(last).exclude_publishers(top),
+         naive.exclude_publishers(naive.for_snapshot(records, last), top)),
+    ]
+    for label, view, expected_records in views:
+        keys = _FIELDS + _DERIVED if view is data else _FIELDS
+        check.that(
+            view.records == expected_records,
+            f"{label}: slice records differ from the naive slice",
+        )
+        compared += [
+            (f"{label} {what}", actual, expected)
+            for what, actual, expected in naive.comparisons(view, keys)
+        ]
+    for what, actual, expected in compared:
+        check.that(
+            naive.agree(actual, expected),
+            f"{what}: {actual!r} != reference {expected!r}",
         )
     return (
-        f"{len(run.spec.figures())} figures + 5 aggregations agree "
-        "across dispatch paths"
+        f"{analyses} analyses match the generic path; "
+        f"{len(compared) - analyses} aggregations over {len(views)} views "
+        "match the naive reference"
     )
 
 

@@ -59,7 +59,7 @@ def _publisher_counts(dataset: Dataset, dimension: Dimension) -> Dict[object, in
     multi-valued CDN dimension — the same split the prevalence
     analyses make.
     """
-    if dimension.column_key is not None and dataset.columnar:
+    if dimension.column_key is not None:
         return dataset.publishers_per_value(dimension.column_key)
     sets: Dict[object, Set[str]] = {}
     for record in dataset.records:

@@ -27,15 +27,13 @@ Four scenarios ship by default:
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import figures, obs
 from repro.errors import TestkitError
 from repro.synthesis.calibration import EcosystemConfig
 from repro.synthesis.generator import EcosystemGenerator, EcosystemResult
-from repro.telemetry.dataset import Dataset
 from repro.telemetry.faults import FaultInjector, FaultMix
 from repro.telemetry.records import ViewRecord
 
@@ -173,13 +171,6 @@ class ScenarioRun:
                 built = EcosystemGenerator(
                     spec.config(seed=spec.alt_seed)
                 ).generate()
-            elif which == "row":
-                built = dataclasses.replace(
-                    self.result,
-                    dataset=Dataset(
-                        self.result.dataset.records, columnar=False
-                    ),
-                )
             elif which == "perturbed":
                 if spec.perturb is None:
                     raise TestkitError(
@@ -190,18 +181,6 @@ class ScenarioRun:
                 raise TestkitError(f"unknown build variant {which!r}")
         self._results[which] = built
         return built
-
-    def parallel_result(self) -> EcosystemResult:
-        """The same config built on a ``jobs=N`` process pool."""
-        return self._build("parallel")
-
-    def alt_result(self) -> EcosystemResult:
-        """The same config under the alternate seed."""
-        return self._build("alt-seed")
-
-    def row_result(self) -> EcosystemResult:
-        """The base build with its dataset on the row backend."""
-        return self._build("row")
 
     def perturbed_result(self) -> EcosystemResult:
         """The base build transformed by the spec's perturbation."""
@@ -217,12 +196,6 @@ class ScenarioRun:
             cached = figures.run_figure(figure_id, self._build(variant))
             self._figure_rows[key] = cached
         return cached
-
-    def all_figure_rows(self, variant: str = "base") -> Dict[str, Rows]:
-        return {
-            figure_id: self.figure_rows(figure_id, variant)
-            for figure_id in self.spec.figures()
-        }
 
     # -- serialized dataset ----------------------------------------------
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.constants import ContentType
 from repro.errors import DatasetError
+from repro.telemetry.columnar import ColumnKey
 from repro.telemetry.dataset import Dataset
 from tests.test_telemetry_records import make_record
 
@@ -86,11 +87,17 @@ class TestAggregation:
         assert vh["p2"] == pytest.approx(10.0)
 
     def test_view_hours_by_arbitrary_key(self, small_dataset):
-        by_type = small_dataset.view_hours_by(lambda r: r.content_type)
-        assert by_type[ContentType.LIVE] == pytest.approx(1.0)
+        is_live = ColumnKey(
+            "is_live", lambda r: r.content_type is ContentType.LIVE
+        )
+        by_live = small_dataset.view_hours_by(is_live)
+        assert by_live[True] == pytest.approx(1.0)
+        assert small_dataset.view_hours_by("content_type")[
+            ContentType.LIVE
+        ] == pytest.approx(1.0)
 
     def test_views_by(self, small_dataset):
-        by_pub = small_dataset.views_by(lambda r: r.publisher_id)
+        by_pub = small_dataset.views_by("publisher_id")
         assert by_pub["p1"] == 12.0
 
     def test_top_publishers(self, small_dataset):

@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List
 
 import pytest
 
+from repro.telemetry.events import Heartbeat
 from repro.telemetry.faults import FaultInjector, FaultMix, corrupt_heartbeat
 from repro.telemetry.ingest import (
     IngestReport,
@@ -198,6 +199,15 @@ OVERFLOWS = {
     ),
 }
 
+#: An int too large for a float: ``math.isfinite`` raises on it.  Its
+#: verdicts are written out here rather than read from the golden.
+HUGE_INT = 10**400
+MALFORMED = [
+    "rejected",
+    0,
+    [["malformed-event", "non-numeric or non-finite heartbeat timing"]],
+]
+
 
 def verdict_cases() -> Dict[str, Dict[str, object]]:
     cases: Dict[str, Dict[str, object]] = {}
@@ -237,6 +247,27 @@ class TestCheckBeatVerdicts:
     def test_clean_beat_is_accepted_unchanged(self):
         for policy in POLICIES:
             assert verdict(policy, {}) == ["accepted", 0, []]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("field_name", FIELDS)
+    def test_int_too_large_for_a_float_is_malformed(self, policy, field_name):
+        assert verdict(policy, {field_name: HUGE_INT}) == MALFORMED
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_int_too_large_for_a_float_never_raises_in_a_stream(
+        self, policy
+    ):
+        events = list(events_from_records([make_record(i) for i in range(3)]))
+        index = next(
+            i for i, e in enumerate(events) if isinstance(e, Heartbeat)
+        )
+        events[index] = corrupt_heartbeat(
+            events[index], bitrate_kbps=HUGE_INT
+        )
+        report = RobustSessionizer(policy).run(events)
+        assert [d.reason.value for d in report.dead_letters] == [
+            "malformed-event"
+        ]
 
 
 def golden_payload(eco) -> Dict[str, Dict[str, object]]:
